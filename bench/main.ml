@@ -856,39 +856,29 @@ let m5_failover () =
 
 (* The M6 experiment (EXPERIMENTS.md): a fixed population of endpoints
    in small groups, placed on engine shards by gid-hash affinity
-   ([Shard.shard_of]) and driven flat-out, each shard an OCaml domain
+   ([gid mod shards]) and driven flat-out, each shard an OCaml domain
    running its own deterministic world. The TOTAL work is fixed while
-   the shard count varies, so wall-clock throughput measures how the
-   fabric scales across cores; every per-shard cell is an ordinary
-   single-threaded run, so the recorded delivery totals are exact and
-   deterministic no matter how the domains interleave. Each non-zero
-   shard posts a digest frame to shard 0's mailbox — the SPSC rings and
-   the fabric's dispatch counters are on the measured path.
+   the shard count varies, so wall-clock throughput measures how
+   independent cells scale across cores; every per-shard cell is an
+   ordinary single-threaded run, so the per-shard delivery counts
+   [Shard.run] returns are exact and deterministic no matter how the
+   domains interleave.
 
    Wall-clock throughputs (and the 1->4 speedup) are host-specific —
    on a single-core host the ratio sits near 1.0 and that is the
    honest number; the bench gate compares only the [simulated]
    section, where conservation (every group delivered every cast to
-   every member at every shard count) and the digest/mailbox counters
-   are pinned. *)
-
-module Shard = Horus_transport.Shard
+   every member at every shard count) is pinned. *)
 
 let m6_run ~shards ~groups ~group_size ~casts_per_group =
   let spec = "NAK:COM" in
-  let fabric = Shard.create shards in
-  let digest me delivered =
-    { Shard.m_src = Printf.sprintf "m6-shard-%d" me;
-      m_frame = Bytes.of_string (Printf.sprintf "m6:%d:%d" me delivered) }
-  in
   let t0 = Unix.gettimeofday () in
   let per_shard =
-    Shard.run fabric (fun ctx ->
-        let me = ctx.Shard.sx_id in
+    Horus_transport.Shard.run shards (fun me ->
         let world = World.create ~seed:(11 + me) () in
         let mine = ref [] in
         for k = 0 to groups - 1 do
-          if Shard.shard_of fabric k = me then begin
+          if k mod shards = me then begin
             let g = World.fresh_group_addr world in
             let founder = Group.join (Endpoint.create world ~spec) g in
             let rest =
@@ -921,19 +911,9 @@ let m6_run ~shards ~groups ~group_size ~casts_per_group =
                  acc members)
             0 mine
         in
-        if me > 0 then ignore (Shard.post fabric ~from:me ~to_:0 (digest me delivered));
         (List.length mine, delivered))
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* The caller's domain ran shard 0, so it is the consumer side of
-     shard 0's inboxes; every producer has joined by now. *)
-  let digests = ref [] in
-  ignore
-    (Shard.drain fabric ~me:0 (fun m ->
-         digests := Bytes.to_string m.Shard.m_frame :: !digests));
-  let obs = Horus_obs.Metrics.create () in
-  Shard.export_metrics fabric obs;
-  (per_shard, wall, List.sort compare !digests, Horus_obs.Metrics.to_json obs)
+  (per_shard, Unix.gettimeofday () -. t0)
 
 let m6_sharding () =
   section "M6" "sharded driver: fixed work, 1/2/4 engine shards (wall clock)";
@@ -947,12 +927,11 @@ let m6_sharding () =
     "  %d endpoints in %d groups of %d, %d casts per group (%d deliveries \
      expected), gid-hash placement:@.@."
     endpoints groups group_size casts_per_group expected;
-  Format.printf "  %7s %10s %16s %10s %9s@." "shards" "wall" "casts/s (wall)"
-    "delivered" "digests";
+  Format.printf "  %7s %10s %16s %10s@." "shards" "wall" "casts/s (wall)" "delivered";
   let host_rows = ref [] and sim_rows = ref [] and rates = ref [] in
   List.iter
     (fun shards ->
-       let per_shard, wall, digests, obs = m6_run ~shards ~groups ~group_size ~casts_per_group in
+       let per_shard, wall = m6_run ~shards ~groups ~group_size ~casts_per_group in
        let delivered = Array.fold_left (fun a (_, d) -> a + d) 0 per_shard in
        let casts = groups * casts_per_group in
        let rate = float_of_int casts /. wall in
@@ -969,12 +948,9 @@ let m6_sharding () =
              ("groups_per_shard",
               J.List (Array.to_list (Array.map (fun (g, _) -> J.Int g) per_shard)));
              ("delivered", J.Int delivered);
-             ("work_conserved", J.Bool (delivered = expected));
-             ("digests", J.Int (List.length digests));
-             ("shard_obs", obs) ]
+             ("work_conserved", J.Bool (delivered = expected)) ]
          :: !sim_rows;
-       Format.printf "  %7d %8.2f s %12.0f /s %10d %9d@." shards wall rate
-         delivered (List.length digests))
+       Format.printf "  %7d %8.2f s %12.0f /s %10d@." shards wall rate delivered)
     [ 1; 2; 4 ];
   let speedup =
     match (List.assoc_opt 1 !rates, List.assoc_opt 4 !rates) with

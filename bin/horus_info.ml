@@ -558,8 +558,7 @@ let soak_cmd =
     Format.printf
       "soak %s: %d shard(s), %d casts/cell, %d members (%d churned), %.2f wall seconds@."
       spec shards
-      (match s.C.Soak.sh_reports with [||] -> 0 | a -> a.(0).C.Soak.rp_casts)
-      n (2 * churn) s.C.Soak.sh_wall;
+      s.C.Cells.cells.(0).C.Soak.rp_casts n (2 * churn) s.C.Cells.wall;
     Array.iteri
       (fun i r ->
          Format.printf
@@ -578,8 +577,8 @@ let soak_cmd =
          match r.C.Soak.rp_repro with
          | Some path -> Format.printf "  repro written to %s@." path
          | None -> ())
-      s.C.Soak.sh_reports;
-    Format.printf "combined fingerprint %016Lx@." s.C.Soak.sh_fingerprint;
+      s.C.Cells.cells;
+    Format.printf "combined fingerprint %016Lx@." s.C.Cells.fingerprint;
     (match report with
      | Some path ->
        let oc = open_out path in
@@ -587,16 +586,18 @@ let soak_cmd =
          ~finally:(fun () -> close_out_noerr oc)
          (fun () ->
             output_string oc
-              (if shards = 1 then C.Soak.to_string s.C.Soak.sh_reports.(0)
-               else C.Soak.sharded_to_string s));
+              (if shards = 1 then C.Soak.to_string s.C.Cells.cells.(0)
+               else
+                 Horus_obs.Json.to_string ~indent:true
+                   (C.Cells.to_json ~ok:C.Soak.ok C.Soak.to_json s)));
        Format.printf "report written to %s@." path
      | None -> ());
-    let passed = ref (C.Soak.sharded_ok s) in
+    let passed = ref (Array.for_all C.Soak.ok s.C.Cells.cells) in
     if double then begin
       let s2 = C.Soak.run_sharded ?repro_dir:save ~fastpath ~shards config in
-      if s2.C.Soak.sh_fingerprint <> s.C.Soak.sh_fingerprint then begin
+      if s2.C.Cells.fingerprint <> s.C.Cells.fingerprint then begin
         Format.printf "DETERMINISM VIOLATION: second run fingerprint %016Lx@."
-          s2.C.Soak.sh_fingerprint;
+          s2.C.Cells.fingerprint;
         passed := false
       end
       else Format.printf "double run: fingerprints agree@."
@@ -742,8 +743,8 @@ let churn_cmd =
     let s = C.Churn.run_sharded ~shards config in
     if shards > 1 then
       Format.printf "churn: %d parallel cells, %.2f wall seconds@." shards
-        s.C.Churn.shc_wall;
-    let r = s.C.Churn.shc_reports.(0) in
+        s.C.Cells.wall;
+    let r = s.C.Cells.cells.(0) in
     Format.printf
       "churn: %d endpoints in %d sub-groups over %d sockets, %d waves, %.1f \
        virtual seconds@."
@@ -792,9 +793,9 @@ let churn_cmd =
              (fun v -> Format.printf "  cell %d VIOLATION: %s@." i v)
              c.C.Churn.r_violations
          end)
-      s.C.Churn.shc_reports;
+      s.C.Cells.cells;
     if shards > 1 then
-      Format.printf "combined fingerprint %016Lx@." s.C.Churn.shc_fingerprint;
+      Format.printf "combined fingerprint %016Lx@." s.C.Cells.fingerprint;
     (match report with
      | Some path ->
        let oc = open_out path in
@@ -803,16 +804,18 @@ let churn_cmd =
          (fun () ->
             output_string oc
               (if shards = 1 then C.Churn.to_string r
-               else C.Churn.sharded_to_string s);
+               else
+                 Horus_obs.Json.to_string ~indent:true
+                   (C.Cells.to_json ~ok:C.Churn.ok C.Churn.to_json s));
             output_string oc "\n");
        Format.printf "report written to %s@." path
      | None -> ());
-    let ok = ref (C.Churn.sharded_ok s) in
+    let ok = ref (Array.for_all C.Churn.ok s.C.Cells.cells) in
     if double then begin
       let s2 = C.Churn.run_sharded ~shards config in
-      if s2.C.Churn.shc_fingerprint <> s.C.Churn.shc_fingerprint then begin
+      if s2.C.Cells.fingerprint <> s.C.Cells.fingerprint then begin
         Format.printf "DETERMINISM VIOLATION: second run fingerprint %016Lx@."
-          s2.C.Churn.shc_fingerprint;
+          s2.C.Cells.fingerprint;
         ok := false
       end
       else Format.printf "double run: fingerprints agree@."
@@ -1195,10 +1198,9 @@ let node_cmd =
          & info [ "shards" ]
              ~doc:"Host this many engine shards, one OCaml domain each: this \
                    process serves ranks rank..rank+shards-1, each with its own \
-                   engine, socket and driver; co-resident cross-rank traffic \
-                   bypasses the kernel over lock-free mailboxes. Requires a \
-                   static --peers book covering every hosted rank (1 = the \
-                   plain single-rank node).")
+                   engine, socket and driver; co-resident ranks talk over UDP \
+                   like any other peers. Requires a static --peers book \
+                   covering every hosted rank (1 = the plain single-rank node).")
   in
   let batch_arg =
     Arg.(value & opt int 0
@@ -1231,9 +1233,8 @@ let node_cmd =
     end;
     if shards > 1 then begin
       (* Sharded node: this process hosts ranks rank..rank+shards-1,
-         one engine shard (domain, socket, driver) each. Co-resident
-         cross-rank sends bypass the kernel through the Shard fabric's
-         mailboxes; everything else goes over the wire as usual. *)
+         one independent cell (domain, world, socket, driver) each.
+         Co-resident ranks reach each other over UDP like any peer. *)
       let book =
         match static with
         | Some p -> p
@@ -1247,55 +1248,31 @@ let node_cmd =
       end;
       let n = match n_opt with Some n -> n | None -> Transport.Peers.size book in
       let binds =
-        List.init shards (fun i ->
-            let rk = rank + i in
-            match Transport.Peers.find book ~rank:rk with
+        Array.init shards (fun i ->
+            match Transport.Peers.find book ~rank:(rank + i) with
             | Some a -> a
             | None ->
-              Format.eprintf "node: rank %d not in peer book@." rk;
+              Format.eprintf "node: rank %d not in peer book@." (rank + i);
               exit 2)
       in
-      (* Sockets are bound on this domain so the address->shard map
-         exists before any shard runs; each shard then owns its own
-         exclusively. *)
-      let backends =
-        Array.of_list (List.map (fun bind -> Transport.Udp.create ~batch ~bind ()) binds)
-      in
-      let owner = Hashtbl.create 8 in
-      Array.iteri
-        (fun i (b : Transport.Backend.t) ->
-           Hashtbl.replace owner b.Transport.Backend.local_addr i)
-        backends;
-      let lookup dest = Hashtbl.find_opt owner dest in
       (* Populate the global layer registry before the domains spawn. *)
       Horus_layers.Init.register_all ();
-      let fabric = Transport.Shard.create shards in
       let results =
-        Transport.Shard.run fabric (fun ctx ->
-            let me = ctx.Transport.Shard.sx_id in
+        Transport.Shard.run shards (fun me ->
             let world = World.create () in
             let g = World.fresh_group_addr world in  (* gid 0 in every shard *)
             let link = Transport_link.create world in
-            let backend = Transport.Shard.bypass fabric ~me ~lookup backends.(me) in
-            let driver =
-              (* Mailbox posts cannot wake a sleeping driver: tick fast
-                 enough that cross-shard latency stays bounded. *)
-              Transport.Driver.create ~max_tick:Transport.Defaults.shard_tick ~shards
-                (World.engine world) [ backend ]
-            in
-            node_member ~world ~driver ~link ~backend ~peers:book ~source:"static"
-              ~g ~rank:(rank + me) ~spec ~casts ~interval ~timeout ~n)
-      in
-      Array.iter (fun (b : Transport.Backend.t) -> b.Transport.Backend.close ()) backends;
-      let shard_obs =
-        let m = Horus_obs.Metrics.create () in
-        Transport.Shard.export_metrics fabric m;
-        Horus_obs.Metrics.to_json m
+            let backend = Transport.Udp.create ~batch ~bind:binds.(me) () in
+            let driver = Transport.Driver.create (World.engine world) [ backend ] in
+            Fun.protect
+              ~finally:(fun () -> backend.Transport.Backend.close ())
+              (fun () ->
+                 node_member ~world ~driver ~link ~backend ~peers:book ~source:"static"
+                   ~g ~rank:(rank + me) ~spec ~casts ~interval ~timeout ~n))
       in
       let out =
         J.Obj
           [ ("shards", J.Int shards);
-            ("shard", shard_obs);
             ("reports", J.List (Array.to_list (Array.map fst results))) ]
       in
       print_string (J.to_string ~indent:true out);

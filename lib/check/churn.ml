@@ -188,14 +188,6 @@ type report = {
 
 let ok r = r.r_violations = []
 
-let fnv s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 (* One member slot of one sub-group. Rejoining after a leave or a
    crash creates a fresh endpoint incarnation (new eid) on the same
    socket: endpoint ids double as age order and the NAK layer's pair
@@ -907,7 +899,7 @@ let core_json r =
       ("violations", Json.List (List.map (fun s -> Json.String s) r.r_violations));
       ("elapsed_virtual", Json.Float r.r_elapsed) ]
 
-let fingerprint r = fnv (Json.to_string ~indent:false (core_json r))
+let fingerprint r = Runner.fnv (Json.to_string ~indent:false (core_json r))
 
 let run c =
   let core = run c in
@@ -922,61 +914,15 @@ let to_json r =
 
 let to_string r = Json.to_string ~indent:true (to_json r)
 
-(* Sharded churn soak: the same "sharded cells" model as
-   Soak.run_sharded — N independent, complete churn cells (seed offset
-   by shard index), one per domain over the Shard fabric; the combined
-   fingerprint folds per-cell fingerprints in shard order, so it is a
-   pure function of (config, shards). shards = 1 runs on the calling
-   domain and the combined fingerprint is the plain r_fingerprint. *)
-type sharded_report = {
-  shc_shards : int;
-  shc_reports : report array;    (* in shard order *)
-  shc_fingerprint : int64;
-  shc_wall : float;              (* wall seconds of the parallel section *)
-}
-
-let sharded_ok s = Array.for_all ok s.shc_reports
-
+(* Sharded churn: [shards] independent churn cells (see Cells), seed
+   offset by the shard index; with [shards = 1] the combined
+   fingerprint is the plain r_fingerprint. *)
 let run_sharded ~shards c =
-  if shards < 1 then invalid_arg "Churn.run_sharded: shards must be >= 1";
-  let cell i =
-    { c with
-      h_seed = c.h_seed + i;
-      h_name = (if shards = 1 then c.h_name else Printf.sprintf "%s#s%d" c.h_name i) }
-  in
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    if shards = 1 then [| run (cell 0) |]
-    else begin
-      (* The global layer registry must be written once, here, before
-         the cell domains race World.create's lazy registration. *)
-      Horus_layers.Init.register_all ();
-      let fabric = Horus_transport.Shard.create shards in
-      Horus_transport.Shard.run fabric (fun ctx ->
-          run (cell ctx.Horus_transport.Shard.sx_id))
-    end
-  in
-  let combined =
-    if shards = 1 then reports.(0).r_fingerprint
-    else
-      fnv
-        (String.concat "|"
-           (Array.to_list
-              (Array.map
-                 (fun r -> Printf.sprintf "%016Lx" r.r_fingerprint)
-                 reports)))
-  in
-  { shc_shards = shards;
-    shc_reports = reports;
-    shc_fingerprint = combined;
-    shc_wall = Unix.gettimeofday () -. t0 }
-
-let sharded_to_json s =
-  Json.Obj
-    [ ("shards", Json.Int s.shc_shards);
-      ("ok", Json.Bool (sharded_ok s));
-      ("fingerprint", Json.String (Printf.sprintf "%016Lx" s.shc_fingerprint));
-      ("wall_seconds", Json.Float s.shc_wall);
-      ("cells", Json.List (Array.to_list (Array.map to_json s.shc_reports))) ]
-
-let sharded_to_string s = Json.to_string ~indent:true (sharded_to_json s)
+  Cells.run ~shards
+    ~fingerprint:(fun r -> r.r_fingerprint)
+    ~key:(fun r -> Printf.sprintf "%016Lx" r.r_fingerprint)
+    (fun i ->
+       run
+         { c with
+           h_seed = c.h_seed + i;
+           h_name = (if shards = 1 then c.h_name else Printf.sprintf "%s#s%d" c.h_name i) })

@@ -125,26 +125,10 @@ val ok : report -> bool
 val to_json : report -> Horus_obs.Json.t
 val to_string : report -> string
 
-(** {1 Sharded churn}
+(** {1 Sharded churn} *)
 
-    The same "sharded cells" model as {!Soak.run_sharded}: [shards]
-    independent, complete churn cells (seed offset by shard index),
-    one per OCaml domain over the {!Horus_transport.Shard} fabric.
-    The combined fingerprint folds per-cell fingerprints in shard
-    order — a pure function of (config, shards); with [shards = 1]
-    it is the plain {!report.r_fingerprint}. *)
-
-type sharded_report = {
-  shc_shards : int;
-  shc_reports : report array;  (** in shard order *)
-  shc_fingerprint : int64;
-  shc_wall : float;            (** wall seconds of the parallel section *)
-}
-
-val run_sharded : shards:int -> config -> sharded_report
-(** Raises [Invalid_argument] if [shards < 1]. *)
-
-val sharded_ok : sharded_report -> bool
-
-val sharded_to_json : sharded_report -> Horus_obs.Json.t
-val sharded_to_string : sharded_report -> string
+val run_sharded : shards:int -> config -> report Cells.t
+(** [shards] independent churn cells ({!Cells}), seed offset by the
+    shard index; with [shards = 1] the combined fingerprint is the
+    plain {!report.r_fingerprint}. Raises [Invalid_argument] if
+    [shards < 1]. *)

@@ -423,14 +423,6 @@ let verdict_json v =
       ("shrunk",
        match v.vd_shrunk with None -> Json.Null | Some sc -> Scenario.to_json sc) ]
 
-let fnv_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  !h
-
 let report_json r =
   Json.Obj
     [ ("schema", Json.String "horus-conformance/1");
@@ -471,7 +463,7 @@ let sweep ?progress cf =
   in
   let failures = List.length (List.filter (fun v -> not (verdict_ok v)) verdicts) in
   let fingerprint =
-    fnv_string
+    Runner.fnv
       (Json.to_string ~indent:false
          (Json.List (List.map verdict_json verdicts)))
   in

@@ -404,13 +404,16 @@ let to_json r =
 
 let to_string r = Horus_obs.Json.to_string ~indent:true (to_json r)
 
-(* FNV-1a over the canonical outcome JSON: a cheap fingerprint for the
-   explorer's distinct-outcome statistics. *)
-let fingerprint r =
-  let s = Horus_obs.Json.to_string ~indent:false (outcome_json r) in
+(* FNV-1a: the one string hash behind every fingerprint in the check
+   library. *)
+let fnv s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c ->
        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
     s;
   !h
+
+(* FNV-1a over the canonical outcome JSON: a cheap fingerprint for the
+   explorer's distinct-outcome statistics. *)
+let fingerprint r = fnv (Horus_obs.Json.to_string ~indent:false (outcome_json r))

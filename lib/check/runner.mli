@@ -52,5 +52,8 @@ val to_string : result -> string
 (** Indented, deterministic JSON of the whole run (scenario,
     observations, violations, chooser trace). *)
 
+val fnv : string -> int64
+(** FNV-1a (64-bit) of a string: the hash behind every fingerprint. *)
+
 val fingerprint : result -> int64
 (** FNV-1a of the canonical JSON — an outcome fingerprint. *)

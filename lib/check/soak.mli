@@ -74,31 +74,12 @@ val ok : report -> bool
 val to_json : report -> Horus_obs.Json.t
 val to_string : report -> string
 
-(** {1 Sharded soak}
-
-    The "sharded cells" model: [run_sharded ~shards] runs [shards]
-    independent, complete soak cells — same config, seed offset by the
-    shard index — one per OCaml domain over the {!Horus_transport.Shard}
-    fabric. Every cell is an ordinary single-threaded deterministic
-    run, and the combined fingerprint folds the per-cell fingerprints
-    in shard order, so it is a pure function of (config, shards) no
-    matter how the domains interleave. With [shards = 1] the cell runs
-    on the calling domain and {!sharded_report.sh_fingerprint} equals
-    the plain run's [rp_metrics_fingerprint] exactly. *)
-
-type sharded_report = {
-  sh_shards : int;
-  sh_reports : report array;  (** in shard order *)
-  sh_fingerprint : int64;     (** deterministic combined fingerprint *)
-  sh_wall : float;            (** wall seconds of the parallel section *)
-}
+(** {1 Sharded soak} *)
 
 val run_sharded :
   ?repro_dir:string -> ?skip_inert:bool -> ?fastpath:bool -> shards:int ->
-  config -> sharded_report
-(** Raises [Invalid_argument] if [shards < 1]. *)
-
-val sharded_ok : sharded_report -> bool
-
-val sharded_to_json : sharded_report -> Horus_obs.Json.t
-val sharded_to_string : sharded_report -> string
+  config -> report Cells.t
+(** [shards] independent soak cells ({!Cells}) — same config, seed
+    offset by the shard index. With [shards = 1] the combined
+    fingerprint equals the plain run's [rp_metrics_fingerprint].
+    Raises [Invalid_argument] if [shards < 1]. *)

@@ -70,23 +70,6 @@ val attach_mux : t -> mux -> Endpoint.t -> Endpoint.attachment
 val mux_endpoint : t -> mux -> rank:int -> spec:string -> Endpoint.t
 (** The shared-socket deployment one-liner. *)
 
-val set_shard_router : mux -> (gid:int -> src:string -> Bytes.t -> bool) -> unit
-(** Last-chance demux for a sharded process: consulted (with the raw,
-    still-encoded frame) for frames whose gid no local table owns.
-    Return [true] to take the frame — typically posting it to the
-    owning shard's mailbox, where it re-enters that shard's mux via
-    {!inject}; [false] falls through to the unknown-gid drop. The
-    frame handed over is a private copy. *)
-
-val forwarded : mux -> int
-(** Frames the shard router took (also summed into the
-    [transport.forwarded] counter). *)
-
-val inject : mux -> src:string -> Bytes.t -> unit
-(** Feed a raw encoded frame into the mux's demux exactly as if the
-    socket had received it from [src] — the entry point for frames
-    arriving over an inter-shard mailbox rather than the wire. *)
-
 val route_raw : mux -> gid:int -> (src:string -> Bytes.t -> unit) -> unit
 (** Claim a gid on the shared socket for a non-stack protocol (the
     directory client rides its reserved gid this way): matching frames

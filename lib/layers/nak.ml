@@ -332,28 +332,39 @@ let gc_cast_buffer t =
        end)
     t.members;
   if !min_acked < max_int then
-    Hashtbl.iter
-      (fun seq _ -> if seq <= !min_acked then Hashtbl.remove t.cast_buffer seq)
-      (Hashtbl.copy t.cast_buffer)
+    Hashtbl.filter_map_inplace
+      (fun seq m -> if seq <= !min_acked then None else Some m)
+      t.cast_buffer
+
+(* Most placeholders one NAK request is answered with. The requested
+   range is raw wire data: it is clamped to the casts this member has
+   sent in the epoch, and the run of placeholders is capped, so one
+   forged or garbled request cannot queue unbounded work. A longer
+   honest gap is filled over several requests as the requester's lane
+   advances. *)
+let max_placeholders_per_nak = 1024
 
 let handle_nak_cast t ~requester m =
   let epoch = Msg.pop_u32 m in
   let from_seq = Msg.pop_u32 m in
-  let to_seq = Msg.pop_u32 m in
+  let to_seq = Int.min (Msg.pop_u32 m) (t.cast_next_seq - 1) in
   if epoch = t.epoch then begin
     t.env.Layer.fp_invalidate ();
-    for seq = from_seq to to_seq do
-      match Hashtbl.find_opt t.cast_buffer seq with
-      | Some framed ->
-        count_retransmission t;
-        xmit_to t (Addr.endpoint requester) (Msg.copy framed)
-      | None ->
-        t.placeholders <- t.placeholders + 1;
-        let ph = Msg.empty () in
-        Msg.push_u32 ph seq;
-        Msg.push_u32 ph epoch;
-        Msg.push_u8 ph k_placeholder;
-        xmit_to t (Addr.endpoint requester) ph
+    let seq = ref from_seq and budget = ref max_placeholders_per_nak in
+    while !seq <= to_seq && !budget > 0 do
+      (match Hashtbl.find_opt t.cast_buffer !seq with
+       | Some framed ->
+         count_retransmission t;
+         xmit_to t (Addr.endpoint requester) (Msg.copy framed)
+       | None ->
+         decr budget;
+         t.placeholders <- t.placeholders + 1;
+         let ph = Msg.empty () in
+         Msg.push_u32 ph !seq;
+         Msg.push_u32 ph epoch;
+         Msg.push_u8 ph k_placeholder;
+         xmit_to t (Addr.endpoint requester) ph);
+      incr seq
     done
   end
 

@@ -18,13 +18,3 @@ let pending_limit = 1024
 (* Datagrams per batched syscall when a backend opts into
    recvmmsg/sendmmsg; also the size of its reusable rx buffer ring. *)
 let mmsg_batch = 32
-
-(* Capacity of each inter-shard SPSC mailbox (rounded up to a power of
-   two by the ring). Posts beyond it are shed, not blocked — a shard
-   must never wait on a slower one — and counted as overflow. *)
-let mailbox_capacity = 1024
-
-(* Sleep cap for per-shard drivers: mailbox posts cannot wake a driver
-   sleeping in poll(2), so sharded drivers tick fast enough that
-   cross-shard latency stays bounded without a wakeup pipe. *)
-let shard_tick = 0.002

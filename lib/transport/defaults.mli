@@ -14,10 +14,3 @@ val pending_limit : int
 val mmsg_batch : int
 (** Default datagrams per batched syscall ({!Udp.create}'s [batch]
     when a caller opts in). *)
-
-val mailbox_capacity : int
-(** Default capacity of each inter-shard SPSC mailbox. *)
-
-val shard_tick : float
-(** Default [max_tick] for per-shard drivers (seconds): bounds
-    cross-shard mailbox latency, since posts cannot wake poll(2). *)

@@ -12,25 +12,13 @@
 type t
 
 val create :
-  ?max_tick:float -> ?min_sleep:float -> ?shards:int -> ?aux:(unit -> int) ->
-  Horus_sim.Engine.t -> Backend.t list -> t
+  ?max_tick:float -> ?min_sleep:float -> Horus_sim.Engine.t -> Backend.t list -> t
 (** [max_tick] (default {!Defaults.max_tick}) caps any single sleep,
     bounding the poll latency of fd-less backends such as loopback.
     [min_sleep] (default {!Defaults.min_sleep}) floors it, so engine
     events stuck in the past
     (e.g. a heavy chaos delay queue) cannot degrade the idle loop into
-    a 0-timeout busy spin.
-
-    [shards] (default 1) records which of how many shards this driver
-    serves — informational, surfaced by {!shards} for reports.
-    [aux] is pumped before the sockets on every {!pump}: a sharded
-    driver drains its inter-shard mailboxes here, returning the number
-    of messages moved (counted as work, like received datagrams).
-    Mailbox posts cannot wake a driver sleeping in poll(2), so sharded
-    drivers should run with a small [max_tick]. *)
-
-val shards : t -> int
-(** The [shards] value given at creation (1 = unsharded). *)
+    a 0-timeout busy spin. *)
 
 val sleep_for :
   ?max_wait:float -> max_tick:float -> min_sleep:float -> until_timer:float -> unit ->
@@ -43,7 +31,7 @@ val now : t -> float
 (** Engine time corresponding to the current wall-clock instant. *)
 
 val pump : t -> int
-(** Drain the [aux] hook and every backend, run all engine events now
+(** Drain every backend, run all engine events now
     due, then flush each backend; returns messages moved plus events
     fired (0 = idle). *)
 

@@ -1,78 +1,16 @@
-(** Sharded multi-core fabric: N engine shards, one OCaml domain each,
-    stitched together by bounded lock-free SPSC mailboxes.
+(** Engine shards as independent cells: one OCaml domain each.
 
     Each shard is a complete single-threaded Horus node in miniature —
     its own engine, endpoints, sockets and driver — so per-shard
-    determinism is the ordinary single-engine kind. Cross-shard
-    traffic is opaque frames in one SPSC ring per ordered (src, dst)
-    shard pair (single producer and single consumer by construction).
-    Groups land on [gid mod shards] unless pinned; posts shed on
-    overflow rather than block (best-effort, like the wire — the
-    stack's loss repair recovers them). *)
+    determinism is the ordinary single-engine kind. Shards share no
+    state: traffic between co-resident shards goes over the same wire
+    path as traffic between processes. *)
 
-type msg = { m_src : string; m_frame : Bytes.t }
-(** A mailbox message: an encoded wire frame and the sender's
-    backend address (what the rx callback would have seen from the
-    socket). *)
-
-type t
-(** The fabric: mailboxes, placement table and counters shared by all
-    shards. *)
-
-type ctx = {
-  sx_id : int;      (** this shard's index, [0 .. sx_shards-1] *)
-  sx_shards : int;
-  sx_fabric : t;
-}
-(** Handed to each shard's body by {!run}. *)
-
-val create : ?mailbox:int -> int -> t
-(** [create n] builds a fabric of [n] shards; [mailbox] (default
-    {!Defaults.mailbox_capacity}) bounds each inter-shard ring.
-    Raises [Invalid_argument] if [n < 1]. *)
-
-val shards : t -> int
-
-val shard_of : t -> int -> int
-(** [shard_of t gid]: the shard a group lives on — its pin if any,
-    else [gid mod shards]. *)
-
-val pin : t -> gid:int -> shard:int -> unit
-(** Override the hash for one group — how a directory-aware caller
-    co-locates a HIER sub-group with its coordinator's shard. Write
-    pins during setup (before {!run}); reads are lock-free. *)
-
-val pinned : t -> int
-(** Number of pinned groups. *)
-
-val post : t -> from:int -> to_:int -> msg -> bool
-(** Post into shard [to_]'s inbox. Must be called from shard [from]'s
-    domain (the ring's single producer). [false] = ring full, message
-    shed (counted as overflow). *)
-
-val drain : t -> me:int -> (msg -> unit) -> int
-(** Drain every inbox of shard [me] in source order; must be called
-    from [me]'s domain (the ring's single consumer). Returns messages
-    moved. *)
-
-val run : t -> (ctx -> 'a) -> 'a array
-(** Run one body per shard — shard 0 on the calling domain, the rest
-    on fresh domains — and return the results in shard order. Global
+val run : int -> (int -> 'a) -> 'a array
+(** [run n f] runs [f i] for every shard [i] in [0 .. n-1] — shard 0
+    on the calling domain, the rest on fresh domains — and returns the
+    results in shard order. With [n = 1] no domain is spawned. Global
     registrations (e.g. [Horus_layers.Init.register_all]) must happen
     on the calling domain {e before} this call. If any shard raises,
-    the first exception is re-raised after all shards finish. *)
-
-val bypass : t -> me:int -> lookup:(string -> int option) -> Backend.t -> Backend.t
-(** Wrap shard [me]'s backend so sends whose destination address
-    [lookup] maps to a co-resident shard are posted to that shard's
-    mailbox instead of the kernel; its poll drains [me]'s inboxes
-    before the socket. A shed post falls back to the real send. Use
-    one bypass wrapper per shard — its poll consumes the whole
-    inbox. *)
-
-val export_metrics : ?prefix:string -> t -> Horus_obs.Metrics.t -> unit
-(** Mirror the fabric's counters into a registry ([prefix] defaults to
-    ["shard"]): [shard.posted]/[drained]/[forwarded]/[overflow]/
-    [pins]/[shards] totals, per-shard [shard.posted.<i>] and
-    [shard.drained.<i>] dispatch counters, and a [shard.mailbox_hwm]
-    gauge (deepest any mailbox has been). *)
+    the first exception is re-raised after all shards finish. Raises
+    [Invalid_argument] if [n < 1]. *)

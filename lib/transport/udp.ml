@@ -76,7 +76,12 @@ let create ?(mtu = max_datagram) ?(batch = 0) ~bind () =
   in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   (match
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
+     (* Only a fixed port may be rebound quickly: with SO_REUSEADDR set,
+        Linux can hand two port-0 sockets of one process the same port,
+        and then one of them never receives. *)
+     (match sockaddr with
+      | Unix.ADDR_INET (_, port) when port <> 0 -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | _ -> ());
      Unix.bind fd sockaddr;
      Unix.set_nonblock fd
    with

@@ -704,6 +704,64 @@ let test_bms_views_without_forwarding () =
   World.run_for world ~duration:1.0;
   Alcotest.(check (list string)) "delivery works" [ "over-bms" ] (Group.casts b)
 
+(* A forged NAK naming a million casts: the requested range is raw
+   wire data, so the origin must answer with no more retransmissions
+   and placeholders than the casts it has sent in the epoch (its
+   cast_next_seq). The tap reads the origin's packets to the
+   requester — a 4-byte sim gid, COM's envelope, then NAK's header:
+   each data cast goes to the requester once, so the highest seq seen
+   gives cast_next_seq, and a data cast below it (a retransmission) or
+   a placeholder is an answer. *)
+let test_forged_nak_is_bounded () =
+  let world = mk_world () in
+  let a, b =
+    match spawn ~spec:"MBRSHIP:NAK:COM" ~n:2 world with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let node gr = Addr.endpoint_id (Group.addr gr) in
+  let net = World.net world in
+  let next_seq = ref 0 and epoch = ref (-1) and answers = ref 0 in
+  Horus_sim.Net.set_tap net
+    (Some
+       (fun ~src ~dst bytes ->
+          if src = node a && dst = node b then begin
+            let m = Msg.of_bytes (Bytes.sub bytes 4 (Bytes.length bytes - 4)) in
+            ignore (Msg.pop_u16 m);
+            ignore (Msg.pop_u16 m);
+            ignore (Msg.pop_u8 m);
+            ignore (Horus_msg.Wire.pop_endpoint m);
+            match Msg.pop_u8 m with
+            | 0 ->
+              epoch := Msg.pop_u32 m;
+              let seq = Msg.pop_u32 m in
+              if seq >= !next_seq then next_seq := seq + 1 else incr answers
+            | 4 -> incr answers
+            | _ -> ()
+          end));
+  List.iter (fun i -> Group.cast a (Printf.sprintf "c%d" i)) (List.init 5 Fun.id);
+  World.run_for world ~duration:0.5;
+  Alcotest.(check (list string)) "casts delivered"
+    [ "c0"; "c1"; "c2"; "c3"; "c4" ] (Group.casts b);
+  Alcotest.(check int) "no repairs on a lossless net" 0 !answers;
+  let m = Msg.empty () in
+  Msg.push_u32 m 1_000_000;  (* to_seq *)
+  Msg.push_u32 m 0;          (* from_seq *)
+  Msg.push_u32 m !epoch;
+  Msg.push_u8 m 2;           (* NAK_CAST *)
+  Horus_msg.Wire.push_endpoint m (Group.addr b);
+  Msg.push_u8 m 1;           (* COM send *)
+  Msg.push_u16 m (Msg.length m land 0xffff);
+  Msg.push_u16 m 0x4855;     (* COM magic *)
+  let gid = Bytes.create 4 in
+  Bytes.set_int32_be gid 0 (Int32.of_int (Addr.group_id (g_of a)));
+  Horus_sim.Net.send net ~src:(node b) ~dst:(node a) (Bytes.cat gid (Msg.to_bytes m));
+  World.run_for world ~duration:0.01;
+  Alcotest.(check bool) "the request was served" true (!answers > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d answers <= cast_next_seq %d" !answers !next_seq)
+    true (!answers <= !next_seq)
+
 let () =
   Alcotest.run "mbrship"
     [ ( "membership",
@@ -749,5 +807,8 @@ let () =
       ( "bms",
         [ Alcotest.test_case "views without forwarding" `Quick
             test_bms_views_without_forwarding ] );
+      ( "hostile input",
+        [ Alcotest.test_case "forged NAK range is bounded" `Quick
+            test_forged_nak_is_bounded ] );
       ( "scale",
         [ Alcotest.test_case "24 members" `Slow test_scale_24_members ] ) ]

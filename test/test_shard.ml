@@ -1,127 +1,25 @@
-(* The sharded fabric: placement (gid hash + pins), mailbox post/drain
-   accounting, the run harness (shard order, exception propagation),
-   the kernel-bypass backend wrapper, and the determinism contract —
-   a sharded soak with shards=1 fingerprints identically to the plain
-   single-threaded run. Also the driver-scaling regression: a driver
-   hosting more backends than FD_SETSIZE still delivers. *)
+(* Shards as independent cells: the run harness (shard order,
+   exception propagation) and the determinism contract — a sharded
+   soak with shards=1 fingerprints identically to the plain
+   single-threaded run, and a two-domain run fingerprints the same
+   twice. Also the driver-scaling regression: a driver hosting more
+   backends than FD_SETSIZE still delivers. *)
 
 module T = Horus_transport
 module Shard = Horus_transport.Shard
 
-(* --- placement ----------------------------------------------------- *)
-
-let placement () =
-  let f = Shard.create 4 in
-  Alcotest.(check int) "shards" 4 (Shard.shards f);
-  Alcotest.(check int) "gid hash" 2 (Shard.shard_of f 6);
-  Alcotest.(check int) "gid hash wraps" 3 (Shard.shard_of f 7);
-  Shard.pin f ~gid:6 ~shard:0;
-  Alcotest.(check int) "pin overrides the hash" 0 (Shard.shard_of f 6);
-  Alcotest.(check int) "others unaffected" 1 (Shard.shard_of f 5);
-  Alcotest.(check int) "pin count" 1 (Shard.pinned f);
-  Alcotest.check_raises "pin to a missing shard rejected"
-    (Invalid_argument "Shard.pin: no such shard") (fun () ->
-        Shard.pin f ~gid:1 ~shard:4);
-  Alcotest.check_raises "zero shards rejected"
-    (Invalid_argument "Shard.create: shards must be >= 1") (fun () ->
-        ignore (Shard.create 0))
-
-(* --- mailboxes ----------------------------------------------------- *)
-
-let msg s = { Shard.m_src = s; m_frame = Bytes.of_string s }
-
-let post_and_drain () =
-  let f = Shard.create 3 in
-  Alcotest.(check bool) "post accepted" true (Shard.post f ~from:0 ~to_:2 (msg "a"));
-  Alcotest.(check bool) "second post" true (Shard.post f ~from:1 ~to_:2 (msg "b"));
-  Alcotest.(check bool) "unrelated inbox" true (Shard.post f ~from:2 ~to_:0 (msg "c"));
-  let got = ref [] in
-  let n = Shard.drain f ~me:2 (fun m -> got := m.Shard.m_src :: !got) in
-  Alcotest.(check int) "drained both inboxes" 2 n;
-  Alcotest.(check (list string)) "in source-shard order" [ "a"; "b" ] (List.rev !got);
-  Alcotest.(check int) "other shard's mail untouched" 1
-    (Shard.drain f ~me:0 (fun _ -> ()));
-  Alcotest.(check int) "empty now" 0 (Shard.drain f ~me:2 (fun _ -> ()));
-  Alcotest.check_raises "post out of range"
-    (Invalid_argument "Shard.post: no such shard") (fun () ->
-        ignore (Shard.post f ~from:0 ~to_:3 (msg "x")))
-
-let overflow_is_counted () =
-  let f = Shard.create ~mailbox:2 2 in
-  let accepted = ref 0 in
-  for i = 0 to 9 do
-    if Shard.post f ~from:0 ~to_:1 (msg (string_of_int i)) then incr accepted
-  done;
-  Alcotest.(check int) "capacity accepted" 2 !accepted;
-  let m = Horus_obs.Metrics.create () in
-  Shard.export_metrics f m;
-  let count name = Horus_obs.Metrics.count (Horus_obs.Metrics.counter m name) in
-  Alcotest.(check int) "posted" 2 (count "shard.posted");
-  Alcotest.(check int) "overflow" 8 (count "shard.overflow")
-
 (* --- the run harness ----------------------------------------------- *)
 
 let run_in_shard_order () =
-  let f = Shard.create 4 in
-  let results =
-    Shard.run f (fun ctx ->
-        Alcotest.(check int) "ctx carries the width" 4 ctx.Shard.sx_shards;
-        ctx.Shard.sx_id * 10)
-  in
-  Alcotest.(check (array int)) "results in shard order" [| 0; 10; 20; 30 |] results
+  Alcotest.(check (array int)) "results in shard order" [| 0; 10; 20; 30 |]
+    (Shard.run 4 (fun id -> id * 10));
+  Alcotest.check_raises "zero shards rejected"
+    (Invalid_argument "Shard.run: shards must be >= 1") (fun () ->
+        ignore (Shard.run 0 Fun.id))
 
 let run_propagates_failure () =
-  let f = Shard.create 3 in
   Alcotest.check_raises "a shard's exception surfaces" (Failure "shard 1 died")
-    (fun () ->
-       ignore
-         (Shard.run f (fun ctx ->
-              if ctx.Shard.sx_id = 1 then failwith "shard 1 died")))
-
-(* --- the bypass wrapper -------------------------------------------- *)
-
-(* Two loopback backends standing in for two shards' sockets: a send
-   to a co-resident address is diverted into the destination shard's
-   mailbox (and counted in the backend stats like wire traffic); a
-   send nobody claims still goes down to the real backend; and when
-   the mailbox is full the frame falls back to the wire instead of
-   vanishing. *)
-let bypass_diverts_and_falls_back () =
-  let engine = Horus_sim.Engine.create () in
-  let hub = T.Loopback.hub engine in
-  let b0 = T.Loopback.create ~addr:"mem:0" hub in
-  let b1 = T.Loopback.create ~addr:"mem:1" hub in
-  let b2 = T.Loopback.create ~addr:"mem:2" hub in
-  let f = Shard.create ~mailbox:2 2 in
-  let owner = function "mem:0" -> Some 0 | "mem:1" -> Some 1 | _ -> None in
-  let w0 = Shard.bypass f ~me:0 ~lookup:owner b0 in
-  let w1 = Shard.bypass f ~me:1 ~lookup:owner b1 in
-  let wire = ref [] and mail = ref [] in
-  w1.T.Backend.set_rx (fun ~src:_ frame -> mail := Bytes.to_string frame :: !mail);
-  b2.T.Backend.set_rx (fun ~src:_ frame -> wire := Bytes.to_string frame :: !wire);
-  (* Diverted: stays out of the loopback hub entirely. *)
-  w0.T.Backend.send ~dest:"mem:1" (Bytes.of_string "direct");
-  Horus_sim.Engine.run engine;
-  Alcotest.(check int) "nothing reached b1 over the hub" 0
-    b1.T.Backend.stats.T.Backend.delivered;
-  Alcotest.(check int) "bypass counted as sent" 1 b0.T.Backend.stats.T.Backend.sent;
-  Alcotest.(check int) "arrives on the wrapped poll" 1 (w1.T.Backend.poll ());
-  Alcotest.(check (list string)) "payload intact" [ "direct" ] !mail;
-  Alcotest.(check int) "and counted as delivered" 1 b1.T.Backend.stats.T.Backend.delivered;
-  (* A destination nobody in-process claims uses the wire as usual. *)
-  w0.T.Backend.send ~dest:"mem:2" (Bytes.of_string "routed");
-  Horus_sim.Engine.run engine;
-  Alcotest.(check (list string)) "wire path intact" [ "routed" ] !wire;
-  (* Shed posts fall back to the wire: fill the 0->1 ring, then send
-     one more — it must arrive via the hub, not disappear. *)
-  mail := [];
-  let capacity = ref 0 in
-  while Shard.post f ~from:0 ~to_:1 (msg "fill") do incr capacity done;
-  Alcotest.(check int) "ring filled" 2 !capacity;
-  w0.T.Backend.send ~dest:"mem:1" (Bytes.of_string "overflowed");
-  Horus_sim.Engine.run engine;
-  ignore (w1.T.Backend.poll ());
-  Alcotest.(check bool) "fallback frame arrived" true (List.mem "overflowed" !mail)
+    (fun () -> ignore (Shard.run 3 (fun id -> if id = 1 then failwith "shard 1 died")))
 
 (* --- determinism: sharded cells ------------------------------------ *)
 
@@ -137,15 +35,15 @@ let sharded_one_equals_plain () =
   Horus_layers.Init.register_all ();
   let plain = Horus_check.Soak.run small_soak in
   let s = Horus_check.Soak.run_sharded ~shards:1 small_soak in
-  Alcotest.(check int) "one cell" 1 (Array.length s.Horus_check.Soak.sh_reports);
-  let cell = s.Horus_check.Soak.sh_reports.(0) in
+  Alcotest.(check int) "one cell" 1 (Array.length s.Horus_check.Cells.cells);
+  let cell = s.Horus_check.Cells.cells.(0) in
   Alcotest.(check bool) "cell passed" true (Horus_check.Soak.ok cell);
   Alcotest.(check int64) "metrics fingerprint identical"
     plain.Horus_check.Soak.rp_metrics_fingerprint
     cell.Horus_check.Soak.rp_metrics_fingerprint;
   Alcotest.(check int64) "combined = plain"
     plain.Horus_check.Soak.rp_metrics_fingerprint
-    s.Horus_check.Soak.sh_fingerprint
+    s.Horus_check.Cells.fingerprint
 
 (* Two shards on two real domains, run twice: the combined fingerprint
    is a pure function of (config, shards) no matter how the domains
@@ -154,9 +52,10 @@ let sharded_double_run_agrees () =
   Horus_layers.Init.register_all ();
   let a = Horus_check.Soak.run_sharded ~shards:2 small_soak in
   let b = Horus_check.Soak.run_sharded ~shards:2 small_soak in
-  Alcotest.(check bool) "first passed" true (Horus_check.Soak.sharded_ok a);
+  Alcotest.(check bool) "first passed" true
+    (Array.for_all Horus_check.Soak.ok a.Horus_check.Cells.cells);
   Alcotest.(check int64) "fingerprints agree"
-    a.Horus_check.Soak.sh_fingerprint b.Horus_check.Soak.sh_fingerprint
+    a.Horus_check.Cells.fingerprint b.Horus_check.Cells.fingerprint
 
 (* --- driver scaling: more backends than FD_SETSIZE ------------------ *)
 
@@ -183,36 +82,13 @@ let driver_hosts_1200_backends () =
     Alcotest.(check string) "payload" "wide" payload
   | None -> assert false
 
-(* --- the driver's aux hook ----------------------------------------- *)
-
-(* The aux hook (where a sharded driver drains its mailboxes) is
-   pumped before the sockets and its injected count reaches the
-   caller. *)
-let driver_aux_is_pumped () =
-  let engine = Horus_sim.Engine.create () in
-  let injected = ref 0 in
-  let aux () = if !injected < 3 then (incr injected; 1) else 0 in
-  let driver = T.Driver.create ~max_tick:0.002 ~aux engine [] in
-  Alcotest.(check bool) "aux drained" true
-    (T.Driver.run_until ~timeout:2.0 driver (fun () -> !injected = 3));
-  Alcotest.(check int) "exactly the injected work" 3 !injected
-
 let () =
   Alcotest.run "shard"
-    [ ( "placement",
-        [ Alcotest.test_case "gid hash + pins" `Quick placement ] );
-      ( "mailboxes",
-        [ Alcotest.test_case "post and drain" `Quick post_and_drain;
-          Alcotest.test_case "overflow counted" `Quick overflow_is_counted ] );
-      ( "run",
+    [ ( "run",
         [ Alcotest.test_case "results in shard order" `Quick run_in_shard_order;
           Alcotest.test_case "exceptions propagate" `Quick run_propagates_failure ] );
-      ( "bypass",
-        [ Alcotest.test_case "divert, route, fall back" `Quick
-            bypass_diverts_and_falls_back ] );
       ( "determinism",
         [ Alcotest.test_case "shards=1 equals the plain run" `Slow sharded_one_equals_plain;
           Alcotest.test_case "sharded double run agrees" `Slow sharded_double_run_agrees ] );
       ( "driver",
-        [ Alcotest.test_case "1200 backends on one driver" `Quick driver_hosts_1200_backends;
-          Alcotest.test_case "aux hook pumped" `Quick driver_aux_is_pumped ] ) ]
+        [ Alcotest.test_case "1200 backends on one driver" `Quick driver_hosts_1200_backends ] ) ]

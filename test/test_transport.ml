@@ -478,6 +478,25 @@ let socket_recvfrom_timeout () =
    | Some (_, payload) -> Alcotest.(check string) "payload" "over the wire" payload
    | None -> Alcotest.fail "recvfrom_timeout returned nothing")
 
+(* --- UDP bind options -------------------------------------------- *)
+
+(* SO_REUSEADDR only on a fixed port: with it, Linux may hand two
+   port-0 sockets of one process the same port, and one of them never
+   receives. A fixed port keeps it so a restarted node can rebind at
+   once. Binding needs no traffic, so this runs without
+   HORUS_UDP_TESTS. *)
+let udp_reuseaddr_only_for_fixed_port () =
+  let reuse (b : T.Backend.t) =
+    Unix.getsockopt (Option.get b.T.Backend.fd) Unix.SO_REUSEADDR
+  in
+  let eph = T.Udp.create ~bind:"127.0.0.1:0" () in
+  Alcotest.(check bool) "port 0: not set" false (reuse eph);
+  let addr = eph.T.Backend.local_addr in
+  eph.T.Backend.close ();
+  let fixed = T.Udp.create ~bind:addr () in
+  Alcotest.(check bool) "fixed port: set" true (reuse fixed);
+  fixed.T.Backend.close ()
+
 (* --- UDP (CI transport job only: HORUS_UDP_TESTS=1) ---------------- *)
 
 let udp_enabled = Sys.getenv_opt "HORUS_UDP_TESTS" = Some "1"
@@ -602,7 +621,10 @@ let () =
          [ Alcotest.test_case "fires engine timers on the wall clock" `Quick
              driver_fires_timers;
            Alcotest.test_case "sleep clamp" `Quick driver_sleep_for;
-           Alcotest.test_case "socket recvfrom_timeout" `Quick socket_recvfrom_timeout ] )
+           Alcotest.test_case "socket recvfrom_timeout" `Quick socket_recvfrom_timeout ] );
+       ( "udp bind",
+         [ Alcotest.test_case "SO_REUSEADDR only for a fixed port" `Quick
+             udp_reuseaddr_only_for_fixed_port ] )
      ]
      @
      if udp_enabled then
